@@ -74,6 +74,11 @@ from .viz.image import ascii_preview
 
 __all__ = ["main", "build_parser"]
 
+# "native" stays in the choices even on a checkout without the compiled
+# extension: selecting it then raises the unknown-engine error naming the
+# engines that ARE available (tested by tests/test_native.py).
+ENGINE_CHOICES = ("auto", "python", "numpy", "numpy_batch", "native")
+
 _COMPLEXITY = {
     "scan": "O(XYn)",
     "rqs_kd": "O(XYn)",
@@ -173,14 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 "scott (default), silverman, lcv")
     p_compute.add_argument("--method", default="slam_bucket_rao",
                            choices=method_names())
-    # "native" stays in the choices even on a checkout without the compiled
-    # extension: selecting it then raises the unknown-engine error naming
-    # the engines that ARE available (tested by tests/test_native.py).
-    p_compute.add_argument("--engine", default="numpy",
-                           choices=("python", "numpy", "numpy_batch",
-                                    "native"),
-                           help="SLAM row engine: python (pseudocode), numpy "
-                                "(per-row, default), numpy_batch "
+    p_compute.add_argument("--engine", default="auto", choices=ENGINE_CHOICES,
+                           help="SLAM row engine: auto (default: native when "
+                                "compiled, else numpy_batch, for the bucket "
+                                "methods; numpy for the sort methods), python "
+                                "(pseudocode), numpy (per-row), numpy_batch "
                                 "(block-vectorized), or native (fused C "
                                 "loop + OpenMP; fastest, needs the compiled "
                                 "extension -- see docs/native.md)")
@@ -384,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--method", default="slam_bucket_rao",
                         choices=PARALLEL_METHODS,
                         help="SLAM method (the distributable ones)")
-    p_dist.add_argument("--engine", default="numpy",
-                        choices=("python", "numpy", "numpy_batch", "native"))
+    p_dist.add_argument("--engine", default="auto", choices=ENGINE_CHOICES,
+                        help="sweep engine (default auto; see compute "
+                             "--engine)")
     p_dist.add_argument("--colormap", default="heat",
                         choices=("heat", "viridis", "gray"))
     p_dist.add_argument("--stats", action="store_true",

@@ -47,6 +47,7 @@ from ..viz.bandwidth import BANDWIDTH_SELECTORS, resolve_bandwidth
 from ..viz.region import Raster, Region
 from .envelope import YSortedIndex
 from .kernels import Kernel, get_kernel
+from .native import NATIVE_AVAILABLE
 from .parallel import resolve_workers, validate_backend
 from .rao import with_rao
 from .result import KDVResult, SweepStats
@@ -60,17 +61,43 @@ __all__ = [
     "APPROXIMATE_METHODS",
     "PARALLEL_METHODS",
     "method_names",
+    "resolve_engine",
 ]
 
 GridFn = Callable[..., np.ndarray]
 
 
+#: SLAM methods whose fast engines (``numpy_batch``, ``native``) compute
+#: the same bits as the per-row ``numpy`` engine: both always bucket.
+_BUCKET_METHODS = ("slam_bucket", "slam_bucket_rao")
+
+
+def resolve_engine(engine: str, method: str) -> str:
+    """The concrete engine that ``engine`` names for ``method``.
+
+    Every name but ``"auto"`` passes through unchanged (an unknown one is
+    rejected by the method itself, naming the available engines).
+    ``"auto"``, the default everywhere, picks the fastest engine that keeps
+    the method's semantics: ``native`` for the bucket sweeps when the C
+    extension is compiled, ``numpy_batch`` otherwise (both bit-identical to
+    ``numpy``); ``numpy`` for the sort sweeps, which must still sort
+    (Algorithm 1), and for ``quad``/``akde``.  Other methods ignore the
+    engine.
+    """
+    if engine != "auto":
+        return engine
+    if method in _BUCKET_METHODS:
+        return "native" if NATIVE_AVAILABLE else "numpy_batch"
+    return "numpy"
+
+
 def _slam_fn(name: str, table: dict[str, GridFn], rao: bool) -> Callable[..., np.ndarray]:
-    def fn(xy, raster, kernel, bandwidth, engine="numpy", **kwargs):
+    def fn(xy, raster, kernel, bandwidth, engine="auto", **kwargs):
+        engine = resolve_engine(engine, name)
         if engine not in table:
             raise ValueError(
                 f"unknown engine {engine!r} for method {name!r}; "
-                f"available: {sorted(table)}"
+                f"available: {sorted([*table, 'auto'])}"
             )
         base = table[engine]
         if rao:
@@ -81,7 +108,7 @@ def _slam_fn(name: str, table: dict[str, GridFn], rao: bool) -> Callable[..., np
 
 
 def _plain(fn: GridFn) -> Callable[..., np.ndarray]:
-    def wrapped(xy, raster, kernel, bandwidth, engine="numpy", **kwargs):
+    def wrapped(xy, raster, kernel, bandwidth, engine="auto", **kwargs):
         # SCAN / RQS / Z-order have a single implementation; "engine" is
         # accepted for interface uniformity and ignored.
         return fn(xy, raster, kernel, bandwidth, **kwargs)
@@ -89,8 +116,9 @@ def _plain(fn: GridFn) -> Callable[..., np.ndarray]:
     return wrapped
 
 
-def _engined(fn: GridFn) -> Callable[..., np.ndarray]:
-    def wrapped(xy, raster, kernel, bandwidth, engine="numpy", **kwargs):
+def _engined(name: str, fn: GridFn) -> Callable[..., np.ndarray]:
+    def wrapped(xy, raster, kernel, bandwidth, engine="auto", **kwargs):
+        engine = resolve_engine(engine, name)
         return fn(xy, raster, kernel, bandwidth, engine=engine, **kwargs)
 
     return wrapped
@@ -103,10 +131,10 @@ METHODS: dict[str, tuple[Callable[..., np.ndarray], bool]] = {
     "rqs_ball": (_plain(rqs_ball_grid), True),
     "rqs_rtree": (_plain(rqs_rtree_grid), True),
     "zorder": (_plain(zorder_grid), False),
-    "akde": (_engined(akde_grid), False),
+    "akde": (_engined("akde", akde_grid), False),
     "akde_dual": (_plain(akde_dual_grid), False),
     "binned_fft": (_plain(binned_fft_grid), False),
-    "quad": (_engined(quad_grid), True),
+    "quad": (_engined("quad", quad_grid), True),
     "slam_sort": (_slam_fn("slam_sort", slam_sort_grid, rao=False), True),
     "slam_bucket": (_slam_fn("slam_bucket", slam_bucket_grid, rao=False), True),
     "slam_sort_rao": (_slam_fn("slam_sort_rao", slam_sort_grid, rao=True), True),
@@ -134,7 +162,7 @@ def compute_kdv(
     kernel: "str | Kernel" = "epanechnikov",
     bandwidth: "float | str" = "scott",
     method: str = "slam_bucket_rao",
-    engine: str = "numpy",
+    engine: str = "auto",
     normalization: str = "count",
     weights: np.ndarray | None = None,
     workers: "int | str" = 1,
@@ -164,14 +192,18 @@ def compute_kdv(
     method:
         One of :func:`method_names`.
     engine:
-        ``"numpy"`` (vectorized per row, default), ``"python"`` (literal
-        transcription of the published pseudocode), ``"numpy_batch"``
-        (whole row blocks in O(1) array calls; bit-identical to ``"numpy"``
-        under the bucket methods — see :mod:`repro.core.batch`), or
-        ``"native"`` (fused C loop with OpenMP row parallelism, bit-identical
-        to ``"numpy_batch"``; registered only when the optional extension is
-        compiled — see :mod:`repro.core.native` and ``docs/native.md``)
-        where available.
+        ``"auto"`` (default) picks the fastest engine that keeps the
+        method's semantics — see :func:`resolve_engine`: ``"native"`` for
+        the bucket methods when the extension is compiled, else
+        ``"numpy_batch"``; ``"numpy"`` for the sort methods and QUAD/aKDE.
+        Explicit choices: ``"numpy"`` (vectorized per row), ``"python"``
+        (literal transcription of the published pseudocode),
+        ``"numpy_batch"`` (whole row blocks in O(1) array calls;
+        bit-identical to ``"numpy"`` under the bucket methods — see
+        :mod:`repro.core.batch`), or ``"native"`` (fused C loop with OpenMP
+        row parallelism, bit-identical to ``"numpy_batch"``; registered only
+        when the optional extension is compiled — see
+        :mod:`repro.core.native` and ``docs/native.md``).
     normalization:
         ``"none"`` (raw kernel sums, w = 1), ``"count"`` (w = 1/n, default;
         1/total-weight for weighted datasets), or ``"density"`` (proper 2-D
@@ -185,11 +217,14 @@ def compute_kdv(
         ``1`` (default, serial), an integer worker count, or ``"auto"`` for
         the CPU count.  Honored by the SLAM methods
         (:data:`PARALLEL_METHODS`), which partition the sweep into row
-        blocks; results are bit-identical for every setting.  Other methods
-        run serially regardless.  Pass ``backend="thread"`` as a method
-        kwarg to use threads instead of processes (effective for the numpy
-        engines, whose array ops release the GIL), or ``backend="dist"`` to
-        fan the sweep out to external worker processes via a
+        blocks; results are bit-identical for every setting.  Under the
+        ``native`` engine (the ``"auto"`` default for the bucket methods on
+        a compiled checkout) it is the OpenMP thread count of the fused C
+        loop.  Other methods run serially regardless.  Pass
+        ``backend="thread"`` as a method kwarg to use threads instead of
+        processes (effective for the numpy engines, whose array ops release
+        the GIL), or ``backend="dist"`` to fan the sweep out to external
+        worker processes via a
         :class:`repro.dist.Coordinator` (pass one as the ``coordinator``
         method kwarg, or let :func:`repro.dist.resolve_coordinator` find
         one; see ``docs/distributed.md``).  Backend names are validated up

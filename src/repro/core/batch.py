@@ -186,7 +186,9 @@ class NumpyBatchEngine:
                 envelope_seconds += perf() - t0
                 self._flush_recorder(
                     rec, num_rows, nonempty_rows, total_pairs,
-                    envelope_seconds, bucket_seconds, sweep_seconds,
+                    envelope_seconds,
+                    {PHASE_ENDPOINT_BUCKET: bucket_seconds,
+                     PHASE_PREFIX_SWEEP: sweep_seconds},
                 )
             return out
 
@@ -342,7 +344,9 @@ class NumpyBatchEngine:
         if rec is not None:
             self._flush_recorder(
                 rec, num_rows, nonempty_rows, total_pairs,
-                envelope_seconds, bucket_seconds, sweep_seconds,
+                envelope_seconds,
+                {PHASE_ENDPOINT_BUCKET: bucket_seconds,
+                 PHASE_PREFIX_SWEEP: sweep_seconds},
             )
         return out
 
@@ -353,17 +357,18 @@ class NumpyBatchEngine:
         nonempty_rows: int,
         total_pairs: int,
         envelope_seconds: float,
-        bucket_seconds: float,
-        sweep_seconds: float,
+        row_phases: "dict[str, float]",
     ) -> None:
-        """Flush per-block accumulators with serial-equal call counts."""
+        """Flush per-block accumulators with serial-equal call counts:
+        one envelope update per row, one call of each ``row_phases`` phase
+        (name -> block seconds) per non-empty row."""
         rec.count("sweep.rows", num_rows)
         rec.count("sweep.empty_rows", num_rows - nonempty_rows)
         rec.count("sweep.envelope_points", total_pairs)
         rec.timer(PHASE_ENVELOPE_UPDATE).add(envelope_seconds, num_rows)
         if nonempty_rows:
-            rec.timer(PHASE_ENDPOINT_BUCKET).add(bucket_seconds, nonempty_rows)
-            rec.timer(PHASE_PREFIX_SWEEP).add(sweep_seconds, nonempty_rows)
+            for name, seconds in row_phases.items():
+                rec.timer(name).add(seconds, nonempty_rows)
 
 
 def numpy_batch_grid(

@@ -45,7 +45,7 @@ from .batch import NumpyBatchEngine
 from .envelope import YSortedIndex
 from .kernels import Kernel
 from .parallel import resolve_workers
-from .sweep import sweep_kdv
+from .sweep import PHASE_FUSED, sweep_kdv
 
 try:  # pragma: no cover - exercised via the availability tests
     from . import _native_sweep as _impl
@@ -123,10 +123,12 @@ class NativeEngine:
         """Compute the pixel-row block ``[start, stop)`` in one C call.
 
         Same contract as :meth:`NumpyBatchEngine.sweep_block`, including the
-        recorder semantics: counters and phase call counts equal the serial
-        loop's (phase *seconds* reflect the fused loop, which cannot split
-        its time between the bucket and prefix phases — the whole compute is
-        attributed to ``sweep.prefix_sweep``).
+        recorder semantics: counters and the ``sweep.envelope_update`` call
+        count equal the serial loop's.  The fused loop cannot split its time
+        between envelope extraction, bucketing and the prefix sweep, so the
+        whole C call is one phase, ``sweep.fused`` (one call per non-empty
+        row); ``sweep.envelope_update`` times only the two ``searchsorted``
+        calls that compute the counters.
         """
         if kernel.name not in _KERNEL_IDS:
             raise ValueError(
@@ -164,7 +166,7 @@ class NativeEngine:
             self.threads,
         )
         if rec is not None:
-            sweep_seconds = perf_counter() - t0
+            fused_seconds = perf_counter() - t0
             t1 = perf_counter()
             # Counter parity with the serial loop costs two searchsorted
             # calls — only paid when a recorder is attached.
@@ -177,8 +179,7 @@ class NativeEngine:
                 int(np.count_nonzero(counts)),
                 int(counts.sum()),
                 perf_counter() - t1,  # envelope accounting overhead
-                0.0,  # bucket/prefix time is fused; see docstring
-                sweep_seconds,
+                {PHASE_FUSED: fused_seconds},
             )
         return out
 

@@ -47,7 +47,9 @@ class SweepStats:
     phases:
         Phase name -> total seconds (e.g. ``"sweep.envelope_update"``,
         ``"sweep.endpoint_bucket"``, ``"sweep.prefix_sweep"``,
-        ``"index_build"``); empty unless a recorder was attached.
+        ``"index_build"``; the ``native`` engine reports its fused C loop
+        as ``"sweep.fused"`` instead of the bucket/prefix pair); empty
+        unless a recorder was attached.
     counters:
         Counter name -> value (e.g. ``"sweep.rows"``,
         ``"sweep.envelope_points"``); empty unless a recorder was attached.

@@ -53,6 +53,7 @@ __all__ = [
     "PHASE_ENDPOINT_SORT",
     "PHASE_ENDPOINT_BUCKET",
     "PHASE_PREFIX_SWEEP",
+    "PHASE_FUSED",
 ]
 
 # Observability phase names shared by the sweep driver and the engines
@@ -64,6 +65,9 @@ PHASE_ENVELOPE_UPDATE = "sweep.envelope_update"
 PHASE_ENDPOINT_SORT = "sweep.endpoint_sort"
 PHASE_ENDPOINT_BUCKET = "sweep.endpoint_bucket"
 PHASE_PREFIX_SWEEP = "sweep.prefix_sweep"
+#: The ``native`` engine's fused C loop (envelope extraction, bucketing and
+#: prefix sweep in one pass), which cannot be split between those phases.
+PHASE_FUSED = "sweep.fused"
 
 
 class RowEngine(Protocol):

@@ -16,21 +16,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.api import METHODS
 from ..core.envelope import YSortedIndex
 from ..core.kernels import get_kernel
 from ..core.rao import rao_orientation
 from ..core.result import KDVResult
-from ..core.slam_bucket import slam_bucket_grid
-from ..core.slam_sort import slam_sort_grid
 from ..data.points import PointSet
 from ..viz.region import Raster, Region
 
 __all__ = ["compute_multiband"]
 
-_VARIANTS = {
-    "slam_sort": slam_sort_grid,
-    "slam_bucket": slam_bucket_grid,
-}
+_VARIANTS = ("slam_sort", "slam_bucket")
 
 
 def compute_multiband(
@@ -40,7 +36,7 @@ def compute_multiband(
     size: tuple[int, int] = (1280, 960),
     kernel: str = "epanechnikov",
     variant: str = "slam_bucket",
-    engine: str = "numpy",
+    engine: str = "auto",
     rao: bool = True,
     normalization: str = "count",
 ) -> list[KDVResult]:
@@ -52,6 +48,9 @@ def compute_multiband(
         Positive bandwidth values (any order; results match input order).
     variant:
         ``"slam_bucket"`` (default) or ``"slam_sort"``.
+    engine:
+        Sweep engine; ``"auto"`` (default) resolves per
+        :func:`repro.core.api.resolve_engine` for ``variant``.
     rao:
         Apply the resolution-aware orientation (shared across bandwidths —
         the raster does not change).
@@ -80,7 +79,9 @@ def compute_multiband(
         region = Region.from_points(xy)
     raster = Raster(region, *size)
     kernel_obj = get_kernel(kernel)
-    grid_fn = _VARIANTS[variant][engine]
+    # the non-RAO registry entry: resolves ``engine`` and rejects unknown
+    # names; RAO is applied below, once for every bandwidth
+    grid_fn = METHODS[variant][0]
 
     transpose = rao and rao_orientation(raster) == "columns"
     if transpose:
@@ -96,7 +97,8 @@ def compute_multiband(
     results = []
     for b in bandwidths:
         grid = grid_fn(
-            sweep_xy, sweep_raster, kernel_obj, b, ysorted=ysorted, weights=weights
+            sweep_xy, sweep_raster, kernel_obj, b, engine=engine,
+            ysorted=ysorted, weights=weights,
         )
         if transpose:
             grid = np.ascontiguousarray(grid.T)

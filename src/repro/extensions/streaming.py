@@ -44,8 +44,10 @@ class StreamingKDV:
     method:
         Any *exact* registered method; SLAM_BUCKET^(RAO) by default.
     engine:
-        Row engine forwarded to the method (``"numpy"`` default;
-        ``"numpy_batch"`` is bit-identical and faster for large ticks).
+        Row engine forwarded to the method.  ``"auto"`` (default) resolves
+        per :func:`repro.core.api.resolve_engine`: ``native`` (or
+        ``numpy_batch`` without the compiled extension) for the bucket
+        methods, bit-identical to the per-row ``numpy`` engine.
     rebuild_every:
         Full recomputation after this many delete batches, bounding float
         cancellation drift (set ``None`` to disable).
@@ -63,7 +65,7 @@ class StreamingKDV:
         kernel: str = "epanechnikov",
         bandwidth: float = 500.0,
         method: str = "slam_bucket_rao",
-        engine: str = "numpy",
+        engine: str = "auto",
         rebuild_every: "int | None" = 1000,
         require_timestamps: bool = False,
     ):

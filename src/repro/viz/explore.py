@@ -80,7 +80,9 @@ class ExplorationSession:
         Fixed raster resolution per frame, as in the paper's Figure 16
         (``1280 x 960`` there).
     method, kernel, engine:
-        Forwarded to :func:`repro.core.api.compute_kdv` for every frame.
+        Forwarded to :func:`repro.core.api.compute_kdv` for every frame;
+        ``engine="auto"`` (default) renders the bucket methods with the
+        fastest compiled engine (see :func:`repro.core.api.resolve_engine`).
     bandwidth:
         ``"scott"`` recomputes Scott's rule on the *full* dataset once and
         keeps it fixed across frames (so zooming changes the region, not the
@@ -96,7 +98,7 @@ class ExplorationSession:
         method: str = "slam_bucket_rao",
         kernel: str = "epanechnikov",
         bandwidth: "float | str" = "scott",
-        engine: str = "numpy",
+        engine: str = "auto",
     ):
         if len(points) == 0:
             raise ValueError("cannot explore an empty dataset")

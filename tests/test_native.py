@@ -218,9 +218,19 @@ class TestNativeParity:
                 0, len(y_centers), y_centers, xs_scaled, ysorted, cx, 9.0,
                 kernel, recorder=rec,
             )
-            snaps.append(rec.snapshot()["counters"])
+            snaps.append(rec.snapshot())
+        batch, native = snaps
         for key in ("sweep.rows", "sweep.empty_rows", "sweep.envelope_points"):
-            assert snaps[0][key] == snaps[1][key]
+            assert batch["counters"][key] == native["counters"][key]
+        # the fused C loop is one phase, sweep.fused, with the bucket/prefix
+        # call count; it never claims the phases it cannot split out
+        assert set(native["phases"]) == {"sweep.envelope_update", "sweep.fused"}
+        for phase in ("sweep.envelope_update", "sweep.fused"):
+            assert native["phases"][phase]["total_s"] > 0.0, phase
+        assert native["phases"]["sweep.envelope_update"]["calls"] == \
+            batch["phases"]["sweep.envelope_update"]["calls"]
+        assert native["phases"]["sweep.fused"]["calls"] == \
+            batch["phases"]["sweep.prefix_sweep"]["calls"]
 
     def test_dist_engine_spec_round_trip(self):
         from repro.core.native import NativeEngine

@@ -352,13 +352,15 @@ class TestComputeIntegration:
 
     @pytest.mark.parametrize("method", ["slam_sort", "slam_bucket_rao"])
     def test_parallel_merged_counters_equal_serial(self, workload, method):
+        # engine="numpy" pins the Python block executor under test (native
+        # parallelizes inside its C loop and dispatches one block)
         serial = compute_kdv(
             workload, size=(64, 48), bandwidth=10.0, method=method,
-            collect_stats=True,
+            engine="numpy", collect_stats=True,
         )
         parallel = compute_kdv(
             workload, size=(64, 48), bandwidth=10.0, method=method,
-            workers=2, backend="thread", collect_stats=True,
+            engine="numpy", workers=2, backend="thread", collect_stats=True,
         )
         assert np.array_equal(serial.grid, parallel.grid)
         for name in ("sweep.rows", "sweep.envelope_points"):

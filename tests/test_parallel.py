@@ -205,8 +205,10 @@ class TestStats:
         assert s.rows_per_sec > 0
 
     def test_parallel_block_count(self, xy):
+        # engine="numpy" pins the Python block executor under test
         result = compute_kdv(xy, size=(16, 12), bandwidth=9.0,
-                             method="slam_bucket", workers=2, backend="thread")
+                             method="slam_bucket", engine="numpy", workers=2,
+                             backend="thread")
         s = result.stats
         assert s.backend == "thread"
         assert 1 < s.blocks <= 2 * BLOCKS_PER_WORKER

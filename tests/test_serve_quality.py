@@ -330,6 +330,16 @@ class TestQualityServing:
             assert first.tier == "coreset:1024"
             assert first.degraded
             assert first.error_bound > 0.0
+            # the pinned serve queued a background refinement; until it
+            # lands, the cached coreset entry legitimately answers an
+            # unpinned request, so wait for it deterministically.  Landing
+            # drops the degraded entry, so the next pinned request renders
+            # the coreset again (bit-identically).
+            deadline = time.monotonic() + 10.0
+            while (rec.snapshot()["counters"].get("quality.refined", 0) < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert rec.snapshot()["counters"]["quality.refined"] == 1
             again = service.request_tile(0, 0, 0, quality="coreset:1024")
             assert np.array_equal(again.grid, first.grid)
             # pinned cheap tiers never consume the exact cache namespace
