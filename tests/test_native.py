@@ -5,7 +5,8 @@ Two availability regimes, both first-class:
 * **Fallback checkout** (no compiled extension): the package imports
   cleanly, ``native`` is absent from the engine tables, requesting it fails
   with the standard unknown-engine error naming the engines that *are*
-  available, and the CLI adds a build hint.  These tests always run.
+  available, and the CLI adds a build hint.  These tests always run; on a
+  compiled checkout the ``fallback`` fixture takes ``native`` out again.
 * **Compiled checkout**: the parity suite pins the engine bit-identical to
   ``numpy_batch`` (and hence to the per-row numpy engine) across kernels,
   weights, thread counts, and RAO orientations; skip-marked when the
@@ -75,6 +76,21 @@ def _sweep_args(xy, bandwidth=9.0, width=64, height=48, region=(100.0, 80.0)):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def fallback(monkeypatch):
+    """The wheel-less checkout, whether or not the extension is built here:
+    ``native`` leaves the engine tables and ``auto`` resolves past it."""
+    import repro.core.api as api
+    import repro.core.native as native_mod
+    from repro.core.slam_bucket import slam_bucket_grid
+    from repro.core.slam_sort import slam_sort_grid
+
+    for table in (slam_bucket_grid, slam_sort_grid):
+        monkeypatch.delitem(table, "native", raising=False)
+    monkeypatch.setattr(native_mod, "NATIVE_AVAILABLE", False)
+    monkeypatch.setattr(api, "NATIVE_AVAILABLE", False)
+
+
 class TestAvailability:
     def test_module_imports_without_extension(self):
         """repro.core.native must import on a wheel-less checkout."""
@@ -90,8 +106,7 @@ class TestAvailability:
         assert ("native" in slam_bucket_grid) == NATIVE_AVAILABLE
         assert ("native" in slam_sort_grid) == NATIVE_AVAILABLE
 
-    @pytest.mark.skipif(NATIVE_AVAILABLE, reason="extension is compiled here")
-    def test_unknown_engine_error_names_available(self, cluster_xy):
+    def test_unknown_engine_error_names_available(self, fallback, cluster_xy):
         with pytest.raises(ValueError, match="unknown engine 'native'") as exc:
             compute_kdv(
                 cluster_xy, size=(16, 12), bandwidth=9.0,
@@ -99,8 +114,7 @@ class TestAvailability:
             )
         assert "numpy_batch" in str(exc.value)
 
-    @pytest.mark.skipif(NATIVE_AVAILABLE, reason="extension is compiled here")
-    def test_engine_constructor_raises_clean_error(self):
+    def test_engine_constructor_raises_clean_error(self, fallback):
         from repro.core.native import NativeEngine
 
         with pytest.raises(RuntimeError, match="docs/native.md"):
@@ -114,9 +128,8 @@ class TestAvailability:
         )
         assert args.engine == "native"
 
-    @pytest.mark.skipif(NATIVE_AVAILABLE, reason="extension is compiled here")
     def test_cli_error_message_names_available_engines(
-        self, cluster_xy, tmp_path, capsys
+        self, fallback, cluster_xy, tmp_path, capsys
     ):
         """`repro compute --engine native` on a fallback checkout: exit 2
         plus an error naming the registered engines and a build hint."""
