@@ -1,11 +1,14 @@
-"""Parallel row-block sweep scaling: speedup at 1/2/4/8 workers.
+"""Default-engine ``workers`` scaling: speedup at 1/2/4/8 workers.
 
 Measures the four SLAM variants on the paper's default workload
-(1280x960 pixels, 100k points) across worker counts, for both executor
-backends, and reports per-cell wall time, rows/sec, and speedup relative to
-the serial sweep.  The headline acceptance number is SLAM_BUCKET^(RAO) at
-4 workers, which should reach >= 2x on a machine with >= 4 usable cores;
-on fewer cores the table documents the (lack of) scaling honestly.
+(1280x960 pixels, 100k points) across worker counts under the default
+engine (``engine="auto"``), and reports per-cell wall time, rows/sec, and
+speedup relative to ``workers=1``.  In-process, ``workers`` is the OpenMP
+thread count of the ``native`` engine — what the bucket methods run on a
+compiled checkout; the sort methods (and ``numpy_batch`` on a checkout
+without the extension) run serially, so their columns stay flat by design.
+On fewer cores than workers the table documents the (lack of) scaling
+honestly.
 
 Knobs (environment variables, all optional):
 
@@ -13,8 +16,6 @@ Knobs (environment variables, all optional):
     Base resolution ``X`` (default 1280; ``Y = 3 X / 4`` -> 1280x960).
 ``REPRO_BENCH_PARALLEL_N``
     Point count (default 100_000).
-``REPRO_BENCH_PARALLEL_BACKEND``
-    ``process`` (default) or ``thread``.
 
 Run with::
 
@@ -52,10 +53,6 @@ def _num_points() -> int:
     return int(os.environ.get("REPRO_BENCH_PARALLEL_N", "100000"))
 
 
-def _backend() -> str:
-    return os.environ.get("REPRO_BENCH_PARALLEL_BACKEND", "process")
-
-
 @pytest.fixture(scope="module")
 def workload():
     """The default parallel-scaling workload: uniform-ish clustered points
@@ -84,14 +81,14 @@ def _report():
             row.append(f"{serial / t:.2f}x" if serial and t else "-")
         rows.append(row)
     lines = [
-        f"{m} w={w}: {s['blocks']} blocks, {s.get('orientation', 'rows')}, "
+        f"{m} w={w}: {s['backend']}, {s.get('orientation', 'rows')}, "
         f"{s['rows_per_sec']:,.0f} rows/s"
         for (m, w), s in sorted(_stats.items())
         if "rows_per_sec" in s
     ]
     title = (
-        f"Parallel row-block sweep scaling, {width}x{height}, "
-        f"n={_num_points():,}, backend={_backend()}, cpus={os.cpu_count()}"
+        f"Default-engine workers scaling, {width}x{height}, "
+        f"n={_num_points():,}, cpus={os.cpu_count()}"
     )
     text = format_table(headers, rows, title=title)
     write_report("parallel_scaling", text + "\n\n" + "\n".join(lines))
@@ -103,7 +100,6 @@ def _report():
         meta={
             "resolution": list(_resolution()),
             "n_points": _num_points(),
-            "backend": _backend(),
             "cpu_count": os.cpu_count(),
             "rows_per_sec": {
                 f"{m}@w={w}": s["rows_per_sec"]
@@ -121,9 +117,7 @@ def test_scaling(benchmark, method, workers, workload):
     xy, raster, kernel, bandwidth = workload
     fn, _exact = METHODS[method]
     stats: dict = {}
-    kwargs = {"stats": stats}
-    if workers > 1:
-        kwargs.update(workers=workers, backend=_backend())
+    kwargs = {"stats": stats, "workers": workers}
 
     def call():
         return fn(xy, raster, kernel, bandwidth, **kwargs)
@@ -180,8 +174,8 @@ def main(argv: "list[str] | None" = None) -> int:
     xy, raster, kernel, bandwidth = _build_workload()
     width, height = _resolution()
     title = (
-        f"Parallel row-block sweep scaling, {width}x{height}, "
-        f"n={_num_points():,}, backend={_backend()}, cpus={os.cpu_count()}"
+        f"Default-engine workers scaling, {width}x{height}, "
+        f"n={_num_points():,}, cpus={os.cpu_count()}"
     )
     recorder = Recorder()
     report = BenchReport(
@@ -190,16 +184,13 @@ def main(argv: "list[str] | None" = None) -> int:
     report.meta.update(
         resolution=[width, height],
         n_points=_num_points(),
-        backend=_backend(),
         cpu_count=os.cpu_count(),
     )
     for method in BENCH_METHODS:
         fn, _exact = METHODS[method]
         for workers in worker_counts:
             stats: dict = {}
-            kwargs = {"stats": stats, "recorder": recorder}
-            if workers > 1:
-                kwargs.update(workers=workers, backend=_backend())
+            kwargs = {"stats": stats, "recorder": recorder, "workers": workers}
             elapsed, _ = time_call(
                 lambda: fn(xy, raster, kernel, bandwidth, **kwargs)
             )
@@ -207,7 +198,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 (method, workers),
                 elapsed,
                 rows_per_sec=stats.get("rows_per_sec"),
-                blocks=stats.get("blocks"),
+                backend=stats.get("backend"),
             )
             print(
                 f"{method:16s} w={workers}  {elapsed:7.3f}s  "

@@ -67,7 +67,7 @@ import time
 
 from . import __version__
 from .core.api import METHODS, PARALLEL_METHODS, compute_kdv, method_names
-from .core.parallel import BACKENDS
+from .core.sweep import BACKENDS, resolve_workers
 from .data.datasets import DATASETS, dataset_names, full_size, load_dataset
 from .data.io import load_csv, save_csv
 from .viz.image import ascii_preview
@@ -96,20 +96,11 @@ _COMPLEXITY = {
 }
 
 
-def _parse_workers(text: str) -> "int | str":
-    if text == "auto":
-        return "auto"
+def _parse_workers(text: str) -> int:
     try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"workers must be a positive integer or 'auto', got {text!r}"
-        ) from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(
-            f"workers must be a positive integer or 'auto', got {text!r}"
-        )
-    return workers
+        return resolve_workers(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_bandwidth(text: str) -> "float | str | None":
@@ -187,12 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 "loop + OpenMP; fastest, needs the compiled "
                                 "extension -- see docs/native.md)")
     p_compute.add_argument("--workers", type=_parse_workers, default=1,
-                           help="row-sweep workers for SLAM methods: a count "
-                                "or 'auto' (default 1, serial)")
+                           help="SLAM methods: OpenMP threads of the native "
+                                "engine, or the shard count with --backend "
+                                "dist; a count or 'auto' (default 1)")
     p_compute.add_argument("--backend", default=None, choices=BACKENDS,
-                           help="parallel backend for SLAM methods: process "
-                                "(default), thread, or dist (distributed "
-                                "worker pool; see --dist-workers)")
+                           help="SLAM methods: dist renders through the "
+                                "distributed worker pool (see "
+                                "--dist-workers); default in-process")
     p_compute.add_argument("--dist-workers", default=None, metavar="ADDRS",
                            help="comma-separated host:port worker addresses "
                                 "for --backend dist (default: the "

@@ -48,11 +48,11 @@ from ..viz.region import Raster, Region
 from .envelope import YSortedIndex
 from .kernels import Kernel, get_kernel
 from .native import NATIVE_AVAILABLE
-from .parallel import resolve_workers, validate_backend
 from .rao import with_rao
 from .result import KDVResult, SweepStats
 from .slam_bucket import slam_bucket_grid
 from .slam_sort import slam_sort_grid
+from .sweep import resolve_workers, validate_backend
 
 __all__ = [
     "compute_kdv",
@@ -144,7 +144,8 @@ METHODS: dict[str, tuple[Callable[..., np.ndarray], bool]] = {
 EXACT_METHODS = tuple(name for name, (_, exact) in METHODS.items() if exact)
 APPROXIMATE_METHODS = tuple(name for name, (_, exact) in METHODS.items() if not exact)
 
-#: Methods whose row sweep honors the ``workers`` parallelism parameter.
+#: The SLAM methods: the ones that take the sweep options (``workers``,
+#: ``backend``, ``ysorted``) and report :class:`SweepStats`.
 PARALLEL_METHODS = ("slam_sort", "slam_bucket", "slam_sort_rao", "slam_bucket_rao")
 
 _NORMALIZATIONS = ("none", "count", "density")
@@ -214,22 +215,20 @@ def compute_kdv(
         is set.  All methods support weighting; the density becomes
         ``sum_p w_p K(q, p)``.
     workers:
-        ``1`` (default, serial), an integer worker count, or ``"auto"`` for
-        the CPU count.  Honored by the SLAM methods
-        (:data:`PARALLEL_METHODS`), which partition the sweep into row
-        blocks; results are bit-identical for every setting.  Under the
-        ``native`` engine (the ``"auto"`` default for the bucket methods on
-        a compiled checkout) it is the OpenMP thread count of the fused C
-        loop.  Other methods run serially regardless.  Pass
-        ``backend="thread"`` as a method kwarg to use threads instead of
-        processes (effective for the numpy engines, whose array ops release
-        the GIL), or ``backend="dist"`` to fan the sweep out to external
-        worker processes via a
-        :class:`repro.dist.Coordinator` (pass one as the ``coordinator``
-        method kwarg, or let :func:`repro.dist.resolve_coordinator` find
-        one; see ``docs/distributed.md``).  Backend names are validated up
-        front via :func:`repro.core.parallel.validate_backend` for every
-        method that accepts one.
+        ``1`` (default, serial), a positive integer, or ``"auto"`` for the
+        CPU count.  Under the ``native`` engine (the ``"auto"`` default for
+        the bucket methods on a compiled checkout) it is the OpenMP thread
+        count of the fused C loop; with ``backend="dist"`` it is the shard
+        count.  Every other engine and method runs serially and only
+        validates it.  Results are bit-identical for every setting.  Pass
+        ``backend="dist"`` as a method kwarg of the SLAM methods
+        (:data:`PARALLEL_METHODS`) to fan the sweep out to external worker
+        processes via a :class:`repro.dist.Coordinator` (pass one as the
+        ``coordinator`` method kwarg, or let
+        :func:`repro.dist.resolve_coordinator` find one; see
+        ``docs/distributed.md``).  Backend names are validated up front via
+        :func:`repro.core.sweep.validate_backend` for every method that
+        accepts one.
     ysorted:
         Optional pre-built :class:`~repro.core.envelope.YSortedIndex` over
         exactly these points, letting repeated calls on the same dataset
@@ -267,6 +266,14 @@ def compute_kdv(
         xy = np.asarray(points, dtype=np.float64)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ValueError(f"expected (n, 2) coordinates, got shape {xy.shape}")
+        finite = np.isfinite(xy).all(axis=1)
+        if not finite.all():
+            # One NaN/inf point would poison every pixel its envelope
+            # reaches; PointSet inputs were already checked on construction.
+            raise ValueError(
+                f"{len(xy) - int(finite.sum())} point(s) have non-finite "
+                "coordinates; drop or repair them before computing a KDV"
+            )
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; available: {method_names()}")
     if normalization not in _NORMALIZATIONS:

@@ -109,10 +109,9 @@ class NumpyBatchEngine:
     """Whole-block sweep engine: all rows of a block in O(1) NumPy calls.
 
     Instances are stateless apart from the ``max_block_bytes`` knob, so they
-    are trivially picklable and safe to share across the process/thread
-    workers of :func:`repro.core.parallel.run_blocks` (the driver detects the
-    ``sweep_block`` method and dispatches blocks through
-    :func:`repro.core.sweep.sweep_rows_batched`).
+    are trivially picklable and safe to ship to :mod:`repro.dist` workers
+    (the driver detects the ``sweep_block`` method and dispatches blocks
+    through :func:`repro.core.sweep.sweep_rows_batched`).
     """
 
     def __init__(self, max_block_bytes: int = DEFAULT_MAX_BLOCK_BYTES):
@@ -146,7 +145,7 @@ class NumpyBatchEngine:
         timers accumulate per chunk and flush once per block with call
         counts equal to the serial loop's (``sweep.envelope_update`` counts
         every row, the engine phases count non-empty rows), so merged
-        parallel snapshots equal serial snapshots in every count.
+        dist shard snapshots equal serial snapshots in every count.
         """
         num_pixels = len(xs_scaled)
         num_rows = stop - start
@@ -379,7 +378,7 @@ def numpy_batch_grid(
     ysorted: YSortedIndex | None = None,
     weights: np.ndarray | None = None,
     workers: "int | str | None" = 1,
-    backend: str = "process",
+    backend: "str | None" = None,
     stats: dict | None = None,
     recorder: "Recorder | None" = None,
     coordinator=None,

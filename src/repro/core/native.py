@@ -22,12 +22,12 @@ standard unknown-engine error naming the engines that *are* available.  See
 Thread model
 ------------
 The C loop parallelizes across rows *inside* one ``sweep_block`` call, so the
-``workers`` kwarg maps to OpenMP threads (:func:`native_grid` resolves it via
-the same :func:`repro.core.parallel.resolve_workers` as the other engines)
-and the Python-level block executor always receives ``workers=1`` — there is
-nothing left for it to parallelize.  ``backend="dist"`` still routes through
-the coordinator: the spec from :func:`repro.dist.worker.engine_spec` carries
-the thread count to each worker.
+``workers`` kwarg is the OpenMP thread count (:func:`native_grid` resolves it
+via :func:`repro.core.sweep.resolve_workers`, like every layer that takes
+``workers``), and the sweep driver hands the engine the whole raster as one
+block.  ``backend="dist"`` still routes through the coordinator: the spec
+from :func:`repro.dist.worker.engine_spec` carries the thread count to each
+worker.
 
 Bit-identity: the extension replicates ``slam_bucket_row_numpy``'s exact
 floating-point operand order (see the C source) and is pinned bit-identical
@@ -44,8 +44,7 @@ from ..obs import Recorder
 from .batch import NumpyBatchEngine
 from .envelope import YSortedIndex
 from .kernels import Kernel
-from .parallel import resolve_workers
-from .sweep import PHASE_FUSED, sweep_kdv
+from .sweep import PHASE_FUSED, resolve_workers, sweep_kdv
 
 try:  # pragma: no cover - exercised via the availability tests
     from . import _native_sweep as _impl
@@ -192,41 +191,24 @@ def native_grid(
     ysorted: YSortedIndex | None = None,
     weights: np.ndarray | None = None,
     workers: "int | str | None" = 1,
-    backend: str = "process",
+    backend: "str | None" = None,
     stats: dict | None = None,
     recorder: "Recorder | None" = None,
     coordinator=None,
-    threads: "int | None" = None,
 ) -> np.ndarray:
     """Grid-level ``native`` compute function (engine-table entry).
 
     ``workers`` becomes the OpenMP thread count (``"auto"`` resolves to the
-    CPU count exactly like the other engines); ``threads`` overrides it
-    explicitly.  ``backend`` is accepted for signature uniformity — row
-    parallelism happens inside the C loop, so the in-process executors have
-    nothing to do — except ``backend="dist"``, which shards across a
-    :class:`repro.dist.Coordinator` pool as usual, each worker running the
-    native engine (or its bit-identical ``numpy_batch`` fallback when the
-    worker's checkout has no compiled extension).
+    CPU count exactly like the other engines).  ``backend="dist"`` shards
+    across a :class:`repro.dist.Coordinator` pool as usual, each worker
+    running the native engine (or its bit-identical ``numpy_batch`` fallback
+    when the worker's checkout has no compiled extension).
     """
     if not NATIVE_AVAILABLE:
         raise _unavailable_error()
-    nthreads = resolve_workers(workers) if threads is None else max(1, int(threads))
-    engine = NativeEngine(threads=nthreads)
-    if backend == "dist":
-        return sweep_kdv(
-            xy, raster, kernel, bandwidth, engine,
-            ysorted=ysorted, weights=weights, workers=workers,
-            backend=backend, stats=stats, recorder=recorder,
-            coordinator=coordinator,
-        )
-    grid = sweep_kdv(
-        xy, raster, kernel, bandwidth, engine,
-        ysorted=ysorted, weights=weights, workers=1, backend="thread",
+    return sweep_kdv(
+        xy, raster, kernel, bandwidth,
+        NativeEngine(threads=resolve_workers(workers)),
+        ysorted=ysorted, weights=weights, workers=workers, backend=backend,
         stats=stats, recorder=recorder, coordinator=coordinator,
     )
-    if stats is not None:
-        # Report the realized parallelism, not the block executor's.
-        stats["workers"] = nthreads
-        stats["backend"] = "openmp" if nthreads > 1 else "serial"
-    return grid

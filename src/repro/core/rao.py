@@ -53,7 +53,7 @@ def with_rao(grid_fn: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
         ysorted=None,
         weights: np.ndarray | None = None,
         workers: "int | str | None" = 1,
-        backend: str = "process",
+        backend: "str | None" = None,
         stats: dict | None = None,
         recorder: "Recorder | None" = None,
         **kwargs,

@@ -29,12 +29,15 @@ class SweepStats:
         Number of sweep lines actually processed (after RAO the shorter
         raster axis).
     blocks:
-        How many contiguous row blocks the sweep was partitioned into
-        (1 for the serial path).
+        How many contiguous row blocks the sweep ran as: 1 in-process, the
+        shard count under ``backend="dist"``.
     workers:
-        Resolved worker count (``"auto"`` already expanded).
+        The parallelism that ran (``"auto"`` already expanded): the OpenMP
+        thread count in-process (1 for every engine but ``native``), the
+        requested shard count under ``"dist"``.
     backend:
-        ``"serial"``, ``"process"``, or ``"thread"``.
+        ``"serial"``, ``"openmp"`` (the ``native`` engine on more than one
+        thread), or ``"dist"``.
     orientation:
         Sweep orientation chosen: ``"rows"`` (default) or ``"columns"``
         (RAO transposed the problem).

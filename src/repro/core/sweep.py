@@ -22,16 +22,19 @@ units change — and keeps every intermediate quantity O((W/b)^2).
 Parallel execution
 ------------------
 Rows are independent (the paper's per-row decomposition shares only read-only
-state: the y-sorted index and the scaled pixel centers), so the driver can
-hand contiguous *row blocks* to :mod:`repro.core.parallel` and assemble the
-results.  Each row is computed by exactly the same code in exactly the same
-floating-point order regardless of blocking, so any ``workers`` setting —
-including ``workers=1``, which bypasses the executor entirely — produces
-bit-identical grids.
+state: the y-sorted index and the scaled pixel centers), so a render takes one
+of two paths.  In-process, the driver makes a single ``[0, Y)`` block call;
+the ``native`` engine spreads that call's rows over OpenMP threads inside its
+C loop, and every other engine runs it serially.  Under ``backend="dist"``
+the :mod:`repro.dist` coordinator splits the rows into contiguous shards and
+reassembles them by row band.  Each row is computed by exactly the same code
+in exactly the same floating-point order either way, so any ``workers`` and
+``backend`` setting produces bit-identical grids.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Callable, Protocol
 
@@ -41,10 +44,12 @@ from ..obs import NULL_RECORDER, Recorder, active
 from ..viz.region import Raster
 from .envelope import YSortedIndex
 from .kernels import Kernel, channel_values
-from .parallel import resolve_workers, run_blocks, validate_backend
 
 __all__ = [
+    "BACKENDS",
     "RowEngine",
+    "resolve_workers",
+    "validate_backend",
     "sweep_kdv",
     "sweep_rows",
     "sweep_rows_batched",
@@ -68,6 +73,51 @@ PHASE_PREFIX_SWEEP = "sweep.prefix_sweep"
 #: The ``native`` engine's fused C loop (envelope extraction, bucketing and
 #: prefix sweep in one pass), which cannot be split between those phases.
 PHASE_FUSED = "sweep.fused"
+
+#: Valid ``backend`` names.  ``None`` (the default everywhere) is the
+#: in-process render; ``"dist"`` routes the sweep's row shards through a
+#: :class:`repro.dist.Coordinator`.
+BACKENDS = ("dist",)
+
+
+def resolve_workers(workers: "int | str | None") -> int:
+    """Normalize a ``workers`` request to a concrete positive count.
+
+    ``None`` and ``1`` mean serial; ``"auto"`` resolves to ``os.cpu_count()``;
+    any other value must be a positive integer.
+    """
+    if workers is None:
+        return 1
+    if workers == "auto":
+        return max(1, os.cpu_count() or 1)
+    try:
+        count = int(workers)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"workers must be a positive integer or 'auto', got {workers!r}"
+        ) from None
+    if count != workers and not isinstance(workers, str):
+        # e.g. workers=1.5 — silently truncating a worker count is a trap
+        raise ValueError(
+            f"workers must be a positive integer or 'auto', got {workers!r}"
+        )
+    if count < 1:
+        raise ValueError(f"workers must be a positive integer or 'auto', got {workers!r}")
+    return count
+
+
+def validate_backend(backend: "str | None") -> None:
+    """Reject unknown backend names with a stable, sorted availability list.
+
+    The single validation path for every layer that accepts a ``backend``
+    (``sweep_kdv``, ``compute_kdv``, the CLI); ``None`` is the in-process
+    default and always valid.
+    """
+    if backend is not None and backend not in BACKENDS:
+        raise ValueError(
+            f"unknown parallel backend {backend!r}; "
+            f"available: {', '.join(sorted(BACKENDS))}"
+        )
 
 
 class RowEngine(Protocol):
@@ -231,26 +281,6 @@ def sweep_rows_batched(
     )
 
 
-def _sweep_rows_recorded(start: int, stop: int, *args, **kwargs):
-    """Picklable parallel-block wrapper: run :func:`sweep_rows` under a fresh
-    per-block recorder and ship its snapshot back with the block.
-
-    Worker threads and processes never share the caller's recorder; the
-    parent merges the returned snapshots, so merged counters equal the serial
-    sweep's counts exactly (see :meth:`repro.obs.Recorder.merge`).
-    """
-    recorder = Recorder()
-    block = sweep_rows(start, stop, *args, recorder=recorder, **kwargs)
-    return block, recorder.snapshot()
-
-
-def _sweep_rows_batched_recorded(start: int, stop: int, *args, **kwargs):
-    """Per-block recorder wrapper for :func:`sweep_rows_batched` (picklable)."""
-    recorder = Recorder()
-    block = sweep_rows_batched(start, stop, *args, recorder=recorder, **kwargs)
-    return block, recorder.snapshot()
-
-
 def sweep_kdv(
     xy: np.ndarray,
     raster: Raster,
@@ -260,7 +290,7 @@ def sweep_kdv(
     ysorted: YSortedIndex | None = None,
     weights: np.ndarray | None = None,
     workers: "int | str | None" = 1,
-    backend: str = "process",
+    backend: "str | None" = None,
     stats: dict | None = None,
     recorder: "Recorder | None" = None,
     coordinator=None,
@@ -290,37 +320,37 @@ def sweep_kdv(
         scales each point's aggregate channels, so the sweep itself is
         unchanged and the complexity guarantees still hold.
     workers:
-        ``1`` (default) runs the serial sweep; an integer > 1 dispatches row
-        blocks to that many workers; ``"auto"`` uses the CPU count.  Any
+        ``1`` (default), a positive integer, or ``"auto"`` for the CPU
+        count.  Under ``backend="dist"`` it is the shard count (> 1; else the
+        coordinator's own default).  In-process it is validated only: the
+        one row block runs in ``row_engine``, whose own parallelism (the
+        ``native`` engine's OpenMP ``threads``) its grid function set.  Any
         setting produces a bit-identical grid.
     backend:
-        ``"process"`` (default; sidesteps the GIL for the python engine),
-        ``"thread"`` (cheaper startup; effective for the numpy engine, whose
-        heavy array ops release the GIL), or ``"dist"`` (shards dispatched
-        to external worker processes via a :mod:`repro.dist` coordinator —
-        see the ``coordinator`` parameter).  ``process``/``thread`` are
-        ignored when one worker resolves; ``dist`` always routes through the
-        coordinator, sharding by ``workers`` when it is > 1 and by the
-        coordinator's own default otherwise.
+        ``None`` (default) renders in-process; ``"dist"`` dispatches row
+        shards to external worker processes via a :mod:`repro.dist`
+        coordinator (see the ``coordinator`` parameter).
     stats:
         Optional dict that receives lightweight instrumentation: ``rows``,
         ``blocks``, ``workers``, ``backend``, ``elapsed_seconds``,
-        ``rows_per_sec``.
+        ``rows_per_sec``.  ``workers``/``backend`` report the parallelism
+        that ran: the shard count and ``"dist"``, else the engine's thread
+        count and ``"openmp"`` (more than one thread) or ``"serial"``.
     recorder:
         Optional :class:`~repro.obs.Recorder`.  When attached, the sweep
         records the ``index_build`` and ``sweep`` spans, per-phase timers
         (``sweep.envelope_update`` plus the engine's endpoint-ordering and
-        prefix-sweep phases), and row/envelope counters.  In parallel runs
-        each block records into a private recorder whose snapshot is merged
-        back here, so counts equal the serial sweep's.  ``None`` (default)
-        disables all instrumentation at zero cost.
+        prefix-sweep phases), and row/envelope counters.  Under
+        ``backend="dist"`` each shard records into a private recorder whose
+        snapshot is merged back here, so counts equal the serial sweep's.
+        ``None`` (default) disables all instrumentation at zero cost.
     coordinator:
         Optional :class:`repro.dist.Coordinator` used when
         ``backend="dist"``.  ``None`` resolves one via
         :func:`repro.dist.coordinator.resolve_coordinator` (process default,
         then the ``REPRO_DIST_WORKERS`` environment variable, then a
-        worker-less coordinator computing shards in-process).  Ignored for
-        the in-process backends.
+        worker-less coordinator computing shards in-process).  Ignored
+        in-process.
 
     Returns
     -------
@@ -358,20 +388,11 @@ def sweep_kdv(
     height = raster.height
 
     t0 = time.perf_counter()
-    row_args = (y_centers, xs_scaled, ysorted, cx, bandwidth, kernel, row_engine)
-    row_kwargs = {"sorted_weights": sorted_weights}
-    # Whole-block engines (duck-typed on `sweep_block`, e.g. the numpy_batch
-    # engine) replace the per-row Python loop with the batched driver; the
-    # block partitioning, worker dispatch, and recorder merging are shared.
-    if hasattr(row_engine, "sweep_block"):
-        block_fn, block_fn_recorded = sweep_rows_batched, _sweep_rows_batched_recorded
-    else:
-        block_fn, block_fn_recorded = sweep_rows, _sweep_rows_recorded
     with (rec or NULL_RECORDER).span("sweep"):
         if backend == "dist":
             # Distributed dispatch: the coordinator plans row shards over
             # the same precomputed geometry and merges worker blocks by row
-            # band, so the result is bit-identical to the serial branch
+            # band, so the result is bit-identical to the in-process branch
             # below (see repro.dist.plan for the argument).  Imported lazily
             # so the core sweep has no hard dependency on the dist tier.
             from ..dist.coordinator import resolve_coordinator
@@ -393,22 +414,20 @@ def sweep_kdv(
             if rec is not None:
                 for snap in snapshots:
                     rec.merge(snap)
-        elif num_workers == 1:
-            grid = block_fn(0, height, *row_args, recorder=rec, **row_kwargs)
-            num_blocks = 1
-        elif rec is None:
-            num_blocks, grid, _aux = run_blocks(
-                block_fn, row_args, row_kwargs, height, num_workers, backend
-            )
         else:
-            # Each block records into a private recorder; merging the
-            # returned snapshots reproduces the serial counts exactly.
-            num_blocks, grid, snapshots = run_blocks(
-                block_fn_recorded, row_args, row_kwargs,
-                height, num_workers, backend,
+            # Whole-block engines (duck-typed on `sweep_block`, e.g.
+            # numpy_batch and native) take the block in one call instead of
+            # the per-row Python loop.
+            block_fn = (
+                sweep_rows_batched if hasattr(row_engine, "sweep_block")
+                else sweep_rows
             )
-            for snap in snapshots:
-                rec.merge(snap)
+            grid = block_fn(
+                0, height, y_centers, xs_scaled, ysorted, cx, bandwidth,
+                kernel, row_engine, sorted_weights=sorted_weights,
+                recorder=rec,
+            )
+            num_blocks = 1
     elapsed = time.perf_counter() - t0
 
     # Undo the bandwidth scaling for kernels whose value depends on b
@@ -419,13 +438,16 @@ def sweep_kdv(
     if rec is not None:
         rec.count("sweep.blocks", num_blocks)
     if stats is not None:
+        if backend == "dist":
+            ran_workers, ran_backend = num_workers, "dist"
+        else:
+            ran_workers = getattr(row_engine, "threads", 1)
+            ran_backend = "openmp" if ran_workers > 1 else "serial"
         stats.update(
             rows=height,
             blocks=num_blocks,
-            workers=num_workers,
-            backend=backend
-            if backend == "dist"
-            else ("serial" if num_workers == 1 else backend),
+            workers=ran_workers,
+            backend=ran_backend,
             elapsed_seconds=elapsed,
             rows_per_sec=height / elapsed if elapsed > 0 else float("inf"),
         )
@@ -443,7 +465,7 @@ def make_grid_function(row_engine: RowEngine) -> Callable[..., np.ndarray]:
         ysorted: YSortedIndex | None = None,
         weights: np.ndarray | None = None,
         workers: "int | str | None" = 1,
-        backend: str = "process",
+        backend: "str | None" = None,
         stats: dict | None = None,
         recorder: "Recorder | None" = None,
         coordinator=None,

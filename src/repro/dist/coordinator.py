@@ -521,14 +521,13 @@ class Coordinator:
         collect: bool = False,
     ) -> "tuple[int, np.ndarray, list[dict]]":
         """Render one sweep across the pool; the distributed twin of the
-        ``run_blocks`` call inside :func:`repro.core.sweep.sweep_kdv`.
+        in-process block call inside :func:`repro.core.sweep.sweep_kdv`.
 
         All geometry arguments are exactly the precomputed state ``sweep_kdv``
         holds at dispatch time; ``engine`` is a wire spec from
         :func:`repro.dist.worker.engine_spec`.  Returns ``(num_shards,
         unscaled_grid, snapshots)`` where ``snapshots`` (populated when
-        ``collect``) are per-shard recorder dumps for the caller to merge —
-        mirroring ``run_blocks``'s ``(num_blocks, grid, aux)`` contract.
+        ``collect``) are per-shard recorder dumps for the caller to merge.
 
         Raises :class:`DistTimeout` when a shard exhausts its retry budget on
         expired deadlines, and :class:`DistError` if the render cannot

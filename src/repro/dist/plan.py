@@ -121,8 +121,8 @@ class ShardPlan:
 
 def _near_equal_bounds(total: int, parts: int) -> list[int]:
     """``parts + 1`` monotone boundaries splitting ``range(total)`` into
-    near-equal contiguous ranges (same arithmetic as
-    :func:`repro.core.parallel.partition_rows`)."""
+    near-equal contiguous ranges (the first ``total % parts`` ranges one
+    longer)."""
     base, extra = divmod(total, parts)
     bounds = [0]
     for i in range(parts):

@@ -54,3 +54,50 @@ def reference_grid(
             d_sq = (xy[:, 0] - qx) ** 2 + (xy[:, 1] - k) ** 2
             grid[j, i] = kernel.evaluate(d_sq, bandwidth).sum()
     return grid
+
+
+#: How a ``workers > 1`` SLAM render runs, for the parallel bit-identity
+#: matrices (see :func:`parallel_kwargs`).
+PARALLEL_MODES = ("dist", "process", "thread")
+
+
+@pytest.fixture(scope="session")
+def worker_pool_coordinator():
+    """A :class:`repro.dist.Coordinator` over two spawned ``repro
+    dist-worker`` processes, shared by every test that renders across a
+    process boundary; the workers are reaped at session end."""
+    from repro.dist import Coordinator
+    from repro.dist.launch import launch_local_workers
+
+    pool = launch_local_workers(2)
+    try:
+        with Coordinator(pool.addrs) as coord:
+            yield coord
+    finally:
+        pool.shutdown()
+
+
+def parallel_kwargs(mode: str, request) -> dict:
+    """The ``compute_kdv``/grid-function kwargs that run a render in
+    ``mode``:
+
+    ``thread``
+        In the calling process, no backend: ``workers`` is the ``native``
+        engine's OpenMP thread count, and every other engine runs serially.
+    ``dist``
+        Row shards through a worker-less coordinator (computed in-process).
+    ``process``
+        Row shards through two spawned worker processes.
+    """
+    from repro.dist import Coordinator
+
+    if mode == "thread":
+        return {}
+    if mode == "dist":
+        return {"backend": "dist", "coordinator": Coordinator([])}
+    if mode == "process":
+        return {
+            "backend": "dist",
+            "coordinator": request.getfixturevalue("worker_pool_coordinator"),
+        }
+    raise ValueError(f"unknown parallel mode {mode!r}")

@@ -94,6 +94,16 @@ class TestComputeKDV:
         with pytest.raises(ValueError, match="expected .n, 2."):
             compute_kdv(np.zeros((5, 3)), size=(8, 8), bandwidth=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("with_region", [False, True])
+    def test_non_finite_coordinates_rejected(self, small_xy, bad, with_region):
+        xy = small_xy.copy()
+        xy[3, 0] = bad
+        xy[7, 1] = bad
+        region = Region(0.0, 0.0, 100.0, 80.0) if with_region else None
+        with pytest.raises(ValueError, match="2 point.s. have non-finite"):
+            compute_kdv(xy, region=region, size=(32, 32), bandwidth=10.0)
+
     def test_empty_dataset_needs_region(self):
         with pytest.raises(ValueError, match="region is required"):
             compute_kdv(np.empty((0, 2)), size=(8, 8), bandwidth=1.0)

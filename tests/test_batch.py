@@ -4,7 +4,7 @@ The engine's contract (repro.core.batch) has two halves:
 
 * **bit-identity** — under the bucket methods it returns grids that are
   ``np.array_equal`` to the per-row ``numpy`` engine, for every kernel,
-  weighting, worker count, backend, RAO orientation, and ``max_block_bytes``
+  weighting, worker count, dist sharding, RAO orientation, and ``max_block_bytes``
   setting (the python engine agrees to float tolerance, as it already does
   with per-row numpy under slam_sort);
 * **serial-equal observability** — recorder counters and phase-timer call
@@ -31,7 +31,10 @@ from repro.core.kernels import get_kernel
 from repro.core.native import NATIVE_AVAILABLE, native_grid
 from repro.core.slam_bucket import slam_bucket_row_numpy
 from repro.core.sweep import sweep_kdv
+from repro.dist import Coordinator
 from repro.obs import Recorder
+
+from .conftest import PARALLEL_MODES, parallel_kwargs
 
 KERNEL_NAMES = ("uniform", "epanechnikov", "quartic")
 
@@ -70,13 +73,13 @@ class TestBitIdentity:
         b = _grids(cluster_xy, raster, kernel_name, 9.0, "numpy_batch", weights=w)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
-    def test_parallel_workers(self, backend, cluster_xy):
+    @pytest.mark.parametrize("mode", PARALLEL_MODES)
+    def test_parallel_workers(self, mode, cluster_xy, request):
         raster = Raster(Region(0.0, 0.0, 100.0, 80.0), 48, 40)
         serial = _grids(cluster_xy, raster, "epanechnikov", 9.0, "numpy_batch")
         parallel = _grids(
             cluster_xy, raster, "epanechnikov", 9.0, "numpy_batch",
-            workers=3, backend=backend,
+            workers=3, **parallel_kwargs(mode, request),
         )
         assert np.array_equal(serial, parallel)
 
@@ -315,13 +318,19 @@ class TestRecorderParity:
     def test_parallel_merge_equals_serial(self, cluster_xy):
         serial = self._snapshot("numpy_batch", cluster_xy)
         merged = self._snapshot(
-            "numpy_batch", cluster_xy, workers=3, backend="thread"
+            "numpy_batch", cluster_xy, workers=3, backend="dist",
+            coordinator=Coordinator([]),
         )
-        # sweep.blocks legitimately reflects the partitioning; every
-        # row/envelope count must still merge to the serial totals.
-        drop = "sweep.blocks"
-        assert {k: v for k, v in merged["counters"].items() if k != drop} == \
-            {k: v for k, v in serial["counters"].items() if k != drop}
+        assert merged["counters"]["sweep.blocks"] > 1
+        # sweep.blocks legitimately reflects the partitioning, and the
+        # dist.* counters are the shard tier's own accounting (no serial
+        # counterpart); every row/envelope count must still merge to the
+        # serial totals.
+        def sweep_counters(snap):
+            return {k: v for k, v in snap["counters"].items()
+                    if k != "sweep.blocks" and not k.startswith("dist.")}
+
+        assert sweep_counters(merged) == sweep_counters(serial)
         for phase, data in serial["phases"].items():
             assert merged["phases"][phase]["calls"] == data["calls"], phase
 

@@ -35,6 +35,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compute", "x.csv", "--method", "fft"])
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_retired_backend_rejected(self, backend, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["compute", "x.csv", "--backend", backend])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_dist_backend_accepted(self):
+        args = build_parser().parse_args(["compute", "x.csv", "--backend", "dist"])
+        assert args.backend == "dist"
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "many", "1.5"])
+    def test_bad_workers_rejected(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["compute", "x.csv", "--workers", bad])
+        assert exc.value.code == 2
+        assert "workers must be a positive integer" in capsys.readouterr().err
+
+    def test_workers_parsing(self):
+        parse = build_parser().parse_args
+        assert parse(["compute", "x.csv", "--workers", "3"]).workers == 3
+        assert parse(["compute", "x.csv", "--workers", "auto"]).workers >= 1
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])

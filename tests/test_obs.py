@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import compute_kdv
+from repro.dist import Coordinator
 from repro.obs import (
     NULL_RECORDER,
     RECORDER_SCHEMA,
@@ -352,15 +353,16 @@ class TestComputeIntegration:
 
     @pytest.mark.parametrize("method", ["slam_sort", "slam_bucket_rao"])
     def test_parallel_merged_counters_equal_serial(self, workload, method):
-        # engine="numpy" pins the Python block executor under test (native
-        # parallelizes inside its C loop and dispatches one block)
+        # Three dist shards, each recording into its own recorder whose
+        # snapshot merges back into the caller's.
         serial = compute_kdv(
             workload, size=(64, 48), bandwidth=10.0, method=method,
             engine="numpy", collect_stats=True,
         )
         parallel = compute_kdv(
             workload, size=(64, 48), bandwidth=10.0, method=method,
-            engine="numpy", workers=2, backend="thread", collect_stats=True,
+            engine="numpy", workers=3, backend="dist",
+            coordinator=Coordinator([]), collect_stats=True,
         )
         assert np.array_equal(serial.grid, parallel.grid)
         for name in ("sweep.rows", "sweep.envelope_points"):
